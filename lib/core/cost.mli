@@ -55,8 +55,35 @@ val hw_task_cycles : params -> Codesign_ir.Task_graph.task -> int
 
 val evaluate :
   ?params:params -> Codesign_ir.Task_graph.t -> partition -> eval
-(** @raise Invalid_argument if the partition length differs from the
+(** [compile] then {!eval}.
+    @raise Invalid_argument if the partition length differs from the
     task count. *)
+
+(** {2 Compiled model}
+
+    A search evaluates thousands of partitions of one graph.  {!compile}
+    does the partition-independent work once: per-task software and
+    effective hardware cycles, the successor arrays and predecessor
+    counts, the critical-path priorities, the all-software latency and
+    the per-task functional-unit needs.  A compiled model is immutable
+    and may be shared between domains. *)
+
+type compiled
+
+val compile : ?params:params -> Codesign_ir.Task_graph.t -> compiled
+
+val eval : ?hw_area:int -> compiled -> partition -> eval
+(** Same result as {!evaluate} on the compiled graph and parameters.
+    [hw_area], when given, must be [area c p]: a search that has just
+    checked the area against a budget passes it on.
+    @raise Invalid_argument if the partition length differs from the
+    task count. *)
+
+val latency : compiled -> partition -> int
+(** The list-schedule latency alone ([(eval c p).latency]). *)
+
+val area : compiled -> partition -> int
+(** Hardware area alone ([(eval c p).hw_area]). *)
 
 type weights = {
   w_area : float;  (** per area unit *)
@@ -75,5 +102,4 @@ val objective :
 
 val area_of_partition :
   ?params:params -> Codesign_ir.Task_graph.t -> partition -> int
-(** Hardware area only (cheaper than a full {!evaluate} when a search
-    only needs the area side). *)
+(** Hardware area only: [compile] then {!area}. *)

@@ -32,13 +32,18 @@ type interconnect =
       (** one interconnection network (the Fig. 5 box): inter-PE
           transfers serialise on the shared medium *)
 
-type problem = {
+(** Built only by {!problem}, so the cached schedule order and in-edge
+    arrays always match [tg]. *)
+type problem = private {
   tg : Codesign_ir.Task_graph.t;
   pe_types : pe_type list;
   exec : int array array;  (** [exec.(task).(pe_type)] cycles *)
   comm_cycles_per_word : int;
   max_copies : int;  (** instance bound per type (keeps SOS finite) *)
   interconnect : interconnect;
+  order : int array;  (** [tg]'s topological order, computed once *)
+  in_edges : Codesign_ir.Task_graph.edge array array;
+      (** [in_edges.(i)] = [Task_graph.in_edges tg i], computed once *)
 }
 
 val problem :

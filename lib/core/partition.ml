@@ -14,30 +14,32 @@ let respects_budget ?(params = Cost.default_params) ~max_area g p =
   | None -> true
   | Some budget -> Cost.area_of_partition ~params g p <= budget
 
-(* Shared search context: counts evaluations, applies the budget as a
-   hard constraint (infeasible partitions score infinity). *)
+(* Shared search context: compiles the cost model once, counts
+   evaluations, applies the budget as a hard constraint (infeasible
+   partitions score infinity). *)
 module Ctx = struct
   type t = {
     g : T.t;
-    params : Cost.params;
+    model : Cost.compiled;
     weights : Cost.weights;
     max_area : int option;
     mutable evals : int;
   }
 
   let make g params weights max_area =
-    { g; params; weights; max_area; evals = 0 }
+    { g; model = Cost.compile ~params g; weights; max_area; evals = 0 }
 
   let score ctx p =
     ctx.evals <- ctx.evals + 1;
-    if not (respects_budget ~params:ctx.params ~max_area:ctx.max_area ctx.g p)
-    then infinity
-    else
-      let e = Cost.evaluate ~params:ctx.params ctx.g p in
-      Cost.objective ~weights:ctx.weights ctx.g e
+    let hw_area = Cost.area ctx.model p in
+    match ctx.max_area with
+    | Some budget when hw_area > budget -> infinity
+    | _ ->
+        Cost.objective ~weights:ctx.weights ctx.g
+          (Cost.eval ~hw_area ctx.model p)
 
   let finish ctx ~algorithm p =
-    let eval = Cost.evaluate ~params:ctx.params ctx.g p in
+    let eval = Cost.eval ctx.model p in
     {
       partition = p;
       eval;
@@ -204,9 +206,7 @@ let gclp ?(params = Cost.default_params) ?(weights = Cost.default_weights)
       let t = g.T.tasks.(i) in
       (* global criticality: projected latency if everything still
          undecided stays in software, relative to the deadline *)
-      let projected =
-        Cost.(evaluate ~params g p).latency
-      in
+      let projected = Cost.latency ctx.Ctx.model p in
       let gc = float_of_int projected /. float_of_int (max deadline 1) in
       (* local phase: affinity of this task for hardware *)
       let affinity =

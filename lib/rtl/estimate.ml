@@ -25,19 +25,18 @@ let default_task_overhead = 64
 
 let fu_need ?(reuse_factor = default_reuse_factor) ops =
   if reuse_factor <= 0 then invalid_arg "Estimate: reuse_factor must be > 0";
-  (* merge duplicate kinds first *)
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (k, n) ->
-      if n < 0 then invalid_arg "Estimate: negative op count";
-      Hashtbl.replace tbl k (n + try Hashtbl.find tbl k with Not_found -> 0))
-    ops;
-  Hashtbl.fold
-    (fun k n acc ->
-      if n = 0 then acc
-      else (k, (n + reuse_factor - 1) / reuse_factor) :: acc)
-    tbl []
-  |> List.sort compare
+  if List.exists (fun (_, n) -> n < 0) ops then
+    invalid_arg "Estimate: negative op count";
+  (* sort by kind, then merge runs of one kind *)
+  let rec merge = function
+    | (k, a) :: (k', b) :: rest when String.equal k k' ->
+        merge ((k, a + b) :: rest)
+    | (k, n) :: rest ->
+        let rest = merge rest in
+        if n = 0 then rest else (k, (n + reuse_factor - 1) / reuse_factor) :: rest
+    | [] -> []
+  in
+  merge (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) ops)
 
 let standalone_area ?(reuse_factor = default_reuse_factor)
     ?(overhead = default_task_overhead) ops =

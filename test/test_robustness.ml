@@ -442,6 +442,38 @@ let prop_shared_bus_never_faster =
       Cosynth.makespan pb_bus ~pe_set ~mapping
       >= Cosynth.makespan pb ~pe_set ~mapping)
 
+(* The compiled model keeps the one-shot contracts: a wrong-length
+   partition is rejected by name, on the one-shot call and on a model
+   compiled once; an empty graph schedules in zero cycles. *)
+let test_cost_partition_size_mismatch () =
+  let g = graph_of 7 6 in
+  let c = Cost.compile g in
+  List.iter
+    (fun len ->
+      let p = Array.make len true in
+      List.iter
+        (fun (what, f) ->
+          match f p with
+          | _ -> fail (what ^ ": expected Invalid_argument")
+          | exception Invalid_argument msg ->
+              check Alcotest.string what
+                "Cost.evaluate: partition size mismatch" msg)
+        [
+          ("evaluate", fun p -> ignore (Cost.evaluate g p));
+          ("compiled eval", fun p -> ignore (Cost.eval c p));
+        ])
+    [ 0; 5; 7 ]
+
+let test_cost_empty_graph () =
+  let g = T.make [] [] in
+  let e = Cost.evaluate g [||] in
+  check Alcotest.int "latency" 0 e.Cost.latency;
+  check Alcotest.int "all-sw latency" 0 e.Cost.all_sw_latency;
+  check (Alcotest.float 0.0) "speedup" 1.0 e.Cost.speedup;
+  check Alcotest.int "area" 0 (Cost.area_of_partition g [||]);
+  check Alcotest.bool "same from a compiled model" true
+    (Cost.eval (Cost.compile g) [||] = e)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -494,5 +526,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_all_hw_not_slower_than_serial_hw;
           QCheck_alcotest.to_alcotest prop_speedup_consistent;
           QCheck_alcotest.to_alcotest prop_shared_bus_never_faster;
+          Alcotest.test_case "partition size mismatch" `Quick
+            test_cost_partition_size_mismatch;
+          Alcotest.test_case "empty graph" `Quick test_cost_empty_graph;
         ] );
     ]
