@@ -514,9 +514,8 @@ let hw_stmt_cycles proc =
 
 let chan_port_base = 100
 
-let run_network ?hw_engines ?sw_cpi ?(cross_cost = 0) ?until ?partition
+let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition
     (net : Pn.t) =
-  ignore sw_cpi;
   let proc_names = List.map (fun (p, _) -> p.B.name) net.Pn.procs in
   let proc_name = Array.of_list proc_names in
   let proc_idx name =
@@ -552,10 +551,28 @@ let run_network ?hw_engines ?sw_cpi ?(cross_cost = 0) ?until ?partition
         (fun acc (p, _) -> max acc (part_of p.B.name))
         0 net.Pn.procs
   in
-  (* Software processes share one CPU token, and hardware processes with
-     an explicitly shared engine share that engine's token; token
-     holders must therefore be colocated — partitions only communicate
-     through latency channels. *)
+  (* Engine of every process, by declaration index: software shares the
+     CPU (-1); a hardware process runs on its named engine or, unnamed,
+     on a fresh one numbered past every named engine.  Engines decide
+     both the token a process holds and which channels cross engines. *)
+  let engine =
+    let named = Option.value hw_engines ~default:[] in
+    let fresh = ref (List.fold_left (fun a (_, e) -> max a e) 0 named) in
+    Array.of_list
+      (List.map
+         (fun ((p : B.proc), m) ->
+           match (m, List.assoc_opt p.B.name named) with
+           | Pn.Sw, _ -> -1
+           | Pn.Hw, Some e -> e
+           | Pn.Hw, None ->
+               incr fresh;
+               !fresh)
+         net.Pn.procs)
+  in
+  (* Software processes share one CPU token, and hardware processes on
+     a shared engine share that engine's token; token holders must
+     therefore be colocated — partitions only communicate through
+     latency channels. *)
   (if nparts > 1 then
      let sw_parts =
        List.filter_map
@@ -569,29 +586,22 @@ let run_network ?hw_engines ?sw_cpi ?(cross_cost = 0) ?until ?partition
          invalid_arg
            "Cosim.run_network: software processes share one CPU and must \
             all map to the same partition"
-     | _ -> (
-         match hw_engines with
-         | None -> ()
-         | Some l ->
-             let seen : (int, string * int) Hashtbl.t = Hashtbl.create 4 in
-             List.iter
-               (fun ((p : B.proc), m) ->
-                 if m = Pn.Hw then
-                   match List.assoc_opt p.B.name l with
-                   | None -> ()
-                   | Some e -> (
-                       let part = part_of p.B.name in
-                       match Hashtbl.find_opt seen e with
-                       | None -> Hashtbl.replace seen e (p.B.name, part)
-                       | Some (other, part') when part' <> part ->
-                           invalid_arg
-                             (Printf.sprintf
-                                "Cosim.run_network: processes %S and %S \
-                                 share hardware engine %d but map to \
-                                 partitions %d and %d"
-                                other p.B.name e part' part)
-                       | Some _ -> ()))
-               net.Pn.procs));
+     | _ ->
+         let seen : (int, string * int) Hashtbl.t = Hashtbl.create 4 in
+         List.iteri
+           (fun i ((p : B.proc), m) ->
+             if m = Pn.Hw then
+               let e = engine.(i) and part = part_of p.B.name in
+               match Hashtbl.find_opt seen e with
+               | None -> Hashtbl.replace seen e (p.B.name, part)
+               | Some (other, part') when part' <> part ->
+                   invalid_arg
+                     (Printf.sprintf
+                        "Cosim.run_network: processes %S and %S share \
+                         hardware engine %d but map to partitions %d and %d"
+                        other p.B.name e part' part)
+               | Some _ -> ())
+           net.Pn.procs);
   let plan = Partition.create ~partitions:nparts in
   let kern i = Partition.kernel plan i in
   (* Channels live on their receiver's wheel (delivery executes there);
@@ -629,20 +639,12 @@ let run_network ?hw_engines ?sw_cpi ?(cross_cost = 0) ?until ?partition
   let pw : (int * int * int * int * int) list ref array =
     Array.init nparts (fun _ -> ref [])
   in
-  (* engine id of every process: software = -1, hardware = its engine *)
-  let engine_id_of_proc name =
-    match List.find_opt (fun (p, _) -> p.B.name = name) net.Pn.procs with
-    | Some (_, Pn.Sw) -> -1
-    | Some (_, Pn.Hw) -> (
-        match hw_engines with
-        | Some l -> ( match List.assoc_opt name l with Some e -> e | None -> Hashtbl.hash name )
-        | None -> Hashtbl.hash name)
-    | None -> -1
-  in
   let send_cost_of_chan =
     List.map
       (fun (c : Pn.channel) ->
-        let crossing = engine_id_of_proc c.Pn.src <> engine_id_of_proc c.Pn.dst in
+        let crossing =
+          engine.(proc_idx c.Pn.src) <> engine.(proc_idx c.Pn.dst)
+        in
         (c.Pn.cname, if crossing then cross_cost else 0))
       net.Pn.channels
   in
@@ -653,12 +655,6 @@ let run_network ?hw_engines ?sw_cpi ?(cross_cost = 0) ?until ?partition
   in
   let cpu_token = Mutex.create () in
   let engine_tokens : (int, Mutex.t) Hashtbl.t = Hashtbl.create 4 in
-  let engine_of =
-    match hw_engines with
-    | Some l -> fun name -> List.assoc_opt name l
-    | None -> fun _ -> None
-  in
-  let next_auto_engine = ref 1000 in
   let swr : (int * int * (string * int) list) list ref array =
     Array.init nparts (fun _ -> ref [])
   in
@@ -736,19 +732,12 @@ let run_network ?hw_engines ?sw_cpi ?(cross_cost = 0) ?until ?partition
           let est = Codesign_hls.Hls.estimate proc in
           hw_area := !hw_area + est.Codesign_hls.Hls.area;
           let stmt_cost = hw_stmt_cycles proc in
-          let engine_id =
-            match engine_of proc.B.name with
-            | Some e -> e
-            | None ->
-                incr next_auto_engine;
-                !next_auto_engine
-          in
           let token =
-            match Hashtbl.find_opt engine_tokens engine_id with
+            match Hashtbl.find_opt engine_tokens engine.(my_idx) with
             | Some t -> t
             | None ->
                 let t = Mutex.create () in
-                Hashtbl.replace engine_tokens engine_id t;
+                Hashtbl.replace engine_tokens engine.(my_idx) t;
                 t
           in
           let io =

@@ -208,7 +208,6 @@ type network_result = {
 
 val run_network :
   ?hw_engines:(string * int) list ->
-  ?sw_cpi:int ->
   ?cross_cost:int ->
   ?until:int ->
   ?partition:(string * int) list ->
@@ -216,8 +215,7 @@ val run_network :
   network_result
 (** [hw_engines] assigns hardware processes to engine ids; processes on
     the same engine serialise (default: each its own engine).
-    [sw_cpi] is unused at present (software timing is the ISS's own
-    cycle counting) and reserved.  [cross_cost] charges the sender that
+    [cross_cost] charges the sender that
     many extra cycles per message on channels whose endpoints live on
     different engines (software counts as one engine) — the §3.3
     "communication" factor made physical (default 0).  [until] bounds

@@ -15,12 +15,10 @@
    terminator), at the first {e unsafe} instruction
    (In/Out/Custom/Ei/Di/Rti — environment hooks and interrupt-visible
    state, left to the precise {!Cpu.step} fallback), at the end of the
-   code array, or at {!max_block_instrs}.  Lw/Sw stay in blocks even
-   though they call the memory-mapped-I/O hooks: the executor re-checks
-   trap status and the pending-interrupt condition after each of them,
-   so a hook that traps the core or raises the request line cuts the
-   block at exactly the instruction boundary {!Cpu.step} would have
-   seen it.
+   code array, or at {!max_block_instrs}.  Lw/Sw stay in blocks: a core
+   with memory-mapped-I/O hooks never executes blocks ({!Cpu.run_blocks}
+   runs it on {!Cpu.step}, since a hook may trap the core or raise the
+   request line), so inside a block they only touch plain memory.
 
    Cache invalidation: there is none, by construction.  The program
    array belongs to the CPU and is never mutated after {!Cpu.create}
@@ -35,9 +33,8 @@
    [op; x; y; z; lat; pc].  Operand meaning depends on [op] (see the
    executor in cpu.ml); [lat] is the precomputed base latency (the
    taken-branch +1 is added by the executor); [pc] is the instruction's
-   own index — the resume point when execution must stop {e before}
-   this record (fuel boundary), and the trap location for its memory
-   accesses. *)
+   own index — the trap location for its memory accesses, and the base
+   of the fall-through and link pcs of a terminator. *)
 let stride = 6
 
 (* Micro-opcodes: a closed int enum, densest cases first. *)
@@ -149,9 +146,7 @@ let compile_block c entry_pc =
   let rec scan pc count =
     if count >= max_block_instrs || pc >= len || needs_step_fallback code.(pc)
     then
-      (* resumption point for the dispatcher: next pc in both operand
-         and pc slots, so the fuel-boundary path needs no special
-         case *)
+      (* resumption point for the dispatcher: the next pc *)
       emit uop_end pc 0 0 0 pc
     else begin
       let i = code.(pc) in

@@ -14,8 +14,8 @@
 val stride : int
 (** Ints per decoded record: [op; x; y; z; lat; pc].  [lat] is the
     precomputed base latency (taken-branch +1 added by the executor);
-    [pc] is the instruction's own index — resume point at a fuel
-    boundary and trap location for memory accesses. *)
+    [pc] is the instruction's own index — trap location for memory
+    accesses and base of a terminator's fall-through and link pcs. *)
 
 (** {1 Micro-opcodes}
 

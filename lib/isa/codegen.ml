@@ -368,7 +368,7 @@ let run_compiled ?(env = Cpu.default_env) ?fuel (p : B.proc) bindings =
   let img = Asm.assemble items in
   let cpu = Cpu.create ~env img.Asm.code in
   bind lay cpu bindings;
-  (match Cpu.run ?fuel cpu with
+  (match Cpu.run_compiled ?fuel cpu with
   | Cpu.Halted -> ()
   | Cpu.Trapped msg ->
       raise (Trapped { proc = p.B.name; pc = Cpu.pc cpu; msg })

@@ -83,6 +83,7 @@ val run_compiled :
   Codesign_ir.Behavior.proc ->
   (string * int) list ->
   (string * int) list * Cpu.t
-(** Convenience: compile, assemble, bind, run to halt, and return the
-    [results] variables plus the CPU (for cycle counts).
+(** Convenience: compile, assemble, bind, run to halt on the
+    block-compiled tier ({!Cpu.run_compiled}), and return the [results]
+    variables plus the CPU (for cycle counts).
     @raise Trapped if the CPU traps. *)

@@ -311,17 +311,24 @@ let step t =
           t.status <- Trapped msg;
           0)
 
-let run_fast t ~fuel =
+(* A pattern match instead of [t.status = Running]: [status] carries a
+   string payload, so [=] is a generic-equality call — too expensive
+   for a per-dispatch check. *)
+let is_running t = match t.status with Running -> true | _ -> false
+
+(* The step tier: the precise reference every faster path is tested
+   against, and the whole-run fallback of [run_blocks]. *)
+let run_steps t ~fuel =
   let steps = ref 0 in
-  while t.status = Running && !steps < fuel do
+  while is_running t && !steps < fuel do
     ignore (step t);
     incr steps
   done;
   !steps
 
 let run ?(fuel = 50_000_000) t =
-  ignore (run_fast t ~fuel);
-  if t.status = Running then t.status <- Trapped "fuel exhausted";
+  ignore (run_steps t ~fuel);
+  if is_running t then t.status <- Trapped "fuel exhausted";
   t.status
 
 (* ------------------------------------------------------------------ *)
@@ -330,252 +337,45 @@ let run ?(fuel = 50_000_000) t =
 
 module Bc = Block_compiler
 
-(* Index mappings fixed by [Block_compiler.alu_index] /
-   [Block_compiler.cond_index]; the fuzzed three-way equivalence suite
-   in test_compiled.ml pins them against the variant-based [alu]. *)
-let alu_apply idx a b =
-  match idx with
-  | 0 -> a + b
-  | 1 -> a - b
-  | 2 -> a * b
-  | 3 -> if b = 0 then 0 else a / b
-  | 4 -> if b = 0 then 0 else a mod b
-  | 5 -> a land b
-  | 6 -> a lor b
-  | 7 -> a lxor b
-  | 8 -> a lsl (b land 31)
-  | 9 -> a asr (b land 31)
-  | 10 -> if a < b then 1 else 0
-  | _ -> if a = b then 1 else 0
-
+(* Index mappings fixed by [Block_compiler.cond_index] and, for the ALU
+   match in [exec_fast], [Block_compiler.alu_index]; the fuzzed
+   equivalence suite in test_compiled.ml pins both against [step]. *)
 let cond_apply idx a b =
   match idx with 0 -> a = b | 1 -> a <> b | 2 -> a < b | _ -> a >= b
 
-(* Execute one decoded block.  [t.pc]/[t.cycles]/[t.instret] are
-   written only at block exit; every exit path (terminator, end-record,
-   fuel boundary, trap, hook-raised IRQ) leaves [t.pc] exactly where a
-   [step] loop would have.  Returns the fuel steps consumed — retired
-   instructions plus one for a trapping memory access, matching what
-   the same instructions would have cost through [run_fast].
+(* Execute one decoded block whole.  [run_blocks] enters only when
+   memory is hook-free ([plain_mem]), no retirement callback is
+   installed and the remaining fuel covers the block's worst case
+   ([n] steps).  Then nothing can stop the walk mid-block except a
+   trapping memory access, so there is no per-record fuel check and no
+   cycles/instret accumulator: the block exit charges the precomputed
+   [full_cycles]/[full_instrs] totals in one update, leaving [t.pc]
+   exactly where a [step] loop would have.  Returns the fuel steps
+   consumed.
 
-   The walk is a tail recursion over (record index, retired-so-far,
-   cycles-so-far) with every piece of state an explicit argument of a
-   top-level function: int accumulators instead of refs, and no local
-   closures, keep the hot loop allocation-free — the same discipline as
-   [Logic_sim.eval].  [steps] both counts retired instructions so far
-   and charges fuel; the two only diverge on the trapping exit, which
-   charges one extra fuel step for the access that retired nothing.
-   Reads of the uop array use [Array.unsafe_get]: every index is
-   produced by [Block_compiler.compile_block] over its own fixed-stride
-   records, never by guest data. *)
-let exec_finish t retired cy fuel_steps =
-  t.cycles <- t.cycles + cy;
-  t.instret <- t.instret + retired;
-  fuel_steps
-
-let exec_trap_mem t addr pcrec steps cy =
-  (* pc stays on the faulting instruction — same as [step]'s [Trap]
-     path *)
-  t.status <- Trapped (Printf.sprintf "mem access %d at pc %d" addr pcrec);
-  t.pc <- pcrec;
-  exec_finish t steps cy (steps + 1)
-
-let rec exec_uops t u max_steps i steps cy =
-  let base = i * 6 in
-  if steps >= max_steps then begin
-    (* fuel boundary: resume at this record's own pc *)
-    t.pc <- Array.unsafe_get u (base + 5);
-    exec_finish t steps cy steps
-  end
-  else
-    let op = Array.unsafe_get u base in
-    let regs = t.regs in
-    if op < Bc.uop_alui then begin
-      (* reg-reg ALU *)
-      let v =
-        alu_apply op
-          regs.(Array.unsafe_get u (base + 2))
-          regs.(Array.unsafe_get u (base + 3))
-      in
-      let d = Array.unsafe_get u (base + 1) in
-      if d <> 0 then regs.(d) <- v;
-      exec_uops t u max_steps (i + 1) (steps + 1)
-        (cy + Array.unsafe_get u (base + 4))
-    end
-    else if op < Bc.uop_li then begin
-      (* reg-imm ALU *)
-      let v =
-        alu_apply (op - Bc.uop_alui)
-          regs.(Array.unsafe_get u (base + 2))
-          (Array.unsafe_get u (base + 3))
-      in
-      let d = Array.unsafe_get u (base + 1) in
-      if d <> 0 then regs.(d) <- v;
-      exec_uops t u max_steps (i + 1) (steps + 1)
-        (cy + Array.unsafe_get u (base + 4))
-    end
-    else if op = Bc.uop_li then begin
-      let d = Array.unsafe_get u (base + 1) in
-      if d <> 0 then regs.(d) <- Array.unsafe_get u (base + 2);
-      exec_uops t u max_steps (i + 1) (steps + 1)
-        (cy + Array.unsafe_get u (base + 4))
-    end
-    else if op = Bc.uop_lw then begin
-      let addr =
-        regs.(Array.unsafe_get u (base + 2)) + Array.unsafe_get u (base + 3)
-      in
-      let mem = t.mem in
-      if t.plain_mem then
-        if addr >= 0 && addr < Array.length mem then begin
-          let d = Array.unsafe_get u (base + 1) in
-          if d <> 0 then regs.(d) <- mem.(addr);
-          exec_uops t u max_steps (i + 1) (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-        end
-        else exec_trap_mem t addr (Array.unsafe_get u (base + 5)) steps cy
-      else
-        (* hook-backed access: complete it, then re-check trap status
-           and the pending-interrupt condition — the hook may have
-           trapped the core or raised the request line, and [step]
-           would see either at the next instruction boundary *)
-        let ok =
-          match t.env.mem_read addr with
-          | Some v ->
-              let d = Array.unsafe_get u (base + 1) in
-              if d <> 0 then regs.(d) <- v;
-              true
-          | None ->
-              if addr < 0 || addr >= Array.length mem then false
-              else begin
-                let d = Array.unsafe_get u (base + 1) in
-                if d <> 0 then regs.(d) <- mem.(addr);
-                true
-              end
-        in
-        if not ok then
-          exec_trap_mem t addr (Array.unsafe_get u (base + 5)) steps cy
-        else if
-          t.status <> Running || (t.irq_line && t.irq_enable && not t.in_isr)
-        then begin
-          t.pc <- Array.unsafe_get u (base + 5) + 1;
-          exec_finish t (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-            (steps + 1)
-        end
-        else
-          exec_uops t u max_steps (i + 1) (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-    end
-    else if op = Bc.uop_sw then begin
-      let addr =
-        regs.(Array.unsafe_get u (base + 2)) + Array.unsafe_get u (base + 3)
-      in
-      let mem = t.mem in
-      if t.plain_mem then
-        if addr >= 0 && addr < Array.length mem then begin
-          mem.(addr) <- regs.(Array.unsafe_get u (base + 1));
-          exec_uops t u max_steps (i + 1) (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-        end
-        else exec_trap_mem t addr (Array.unsafe_get u (base + 5)) steps cy
-      else
-        let ok =
-          if t.env.mem_write addr regs.(Array.unsafe_get u (base + 1)) then
-            true
-          else if addr < 0 || addr >= Array.length mem then false
-          else begin
-            mem.(addr) <- regs.(Array.unsafe_get u (base + 1));
-            true
-          end
-        in
-        if not ok then
-          exec_trap_mem t addr (Array.unsafe_get u (base + 5)) steps cy
-        else if
-          t.status <> Running || (t.irq_line && t.irq_enable && not t.in_isr)
-        then begin
-          t.pc <- Array.unsafe_get u (base + 5) + 1;
-          exec_finish t (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-            (steps + 1)
-        end
-        else
-          exec_uops t u max_steps (i + 1) (steps + 1)
-            (cy + Array.unsafe_get u (base + 4))
-    end
-    else if op = Bc.uop_nop then
-      exec_uops t u max_steps (i + 1) (steps + 1)
-        (cy + Array.unsafe_get u (base + 4))
-    else if op < Bc.uop_j then begin
-      (* conditional branch: always the block terminator *)
-      let taken =
-        cond_apply (op - Bc.uop_b)
-          regs.(Array.unsafe_get u (base + 1))
-          regs.(Array.unsafe_get u (base + 2))
-      in
-      if taken then begin
-        t.pc <- Array.unsafe_get u (base + 3);
-        (* taken-branch penalty *)
-        exec_finish t (steps + 1)
-          (cy + Array.unsafe_get u (base + 4) + 1)
-          (steps + 1)
-      end
-      else begin
-        t.pc <- Array.unsafe_get u (base + 5) + 1;
-        exec_finish t (steps + 1)
-          (cy + Array.unsafe_get u (base + 4))
-          (steps + 1)
-      end
-    end
-    else if op = Bc.uop_j then begin
-      t.pc <- Array.unsafe_get u (base + 1);
-      exec_finish t (steps + 1) (cy + Array.unsafe_get u (base + 4)) (steps + 1)
-    end
-    else if op = Bc.uop_jal then begin
-      let d = Array.unsafe_get u (base + 1) in
-      if d <> 0 then regs.(d) <- Array.unsafe_get u (base + 5) + 1;
-      t.pc <- Array.unsafe_get u (base + 2);
-      exec_finish t (steps + 1) (cy + Array.unsafe_get u (base + 4)) (steps + 1)
-    end
-    else if op = Bc.uop_jr then begin
-      t.pc <- regs.(Array.unsafe_get u (base + 1));
-      exec_finish t (steps + 1) (cy + Array.unsafe_get u (base + 4)) (steps + 1)
-    end
-    else if op = Bc.uop_halt then begin
-      t.status <- Halted;
-      t.pc <- Array.unsafe_get u (base + 5);
-      exec_finish t (steps + 1) (cy + Array.unsafe_get u (base + 4)) (steps + 1)
-    end
-    else begin
-      (* uop_end: block fell off without a terminator *)
-      t.pc <- Array.unsafe_get u (base + 1);
-      exec_finish t steps cy steps
-    end
-
-(* Whole-block fast path, taken when memory is hook-free ([plain_mem])
-   and the remaining fuel covers the block's worst case ([n] steps).
-   Under those premises nothing can stop the walk mid-block except a
-   trapping memory access, so the per-record fuel check and the
-   cycles/instret accumulators disappear: each record is just operand
-   loads plus the operation, and the block exit charges the
-   precomputed [full_cycles]/[full_instrs] totals in one update.
-   Register-file accesses are unchecked as well — every register index
-   was validated at decode time ([Block_compiler.regs_ok]; blocks with
-   out-of-range registers never compile) — and memory accesses go
-   unchecked behind their explicit bounds test.  The trap exit is the
-   one slow case: it reconstructs the partial cycle sum by re-walking
-   the lat fields of the records already executed.
+   The walk is a tail recursion over top-level functions with no local
+   closures, which keeps the hot loop allocation-free — the same
+   discipline as [Logic_sim.eval].  Reads of the uop array use [Array.unsafe_get]:
+   every index is produced by [Block_compiler.compile_block] over its
+   own fixed-stride records, never by guest data.  Register-file
+   accesses are unchecked as well — every register index was validated
+   at decode time ([Block_compiler.regs_ok]; blocks with out-of-range
+   registers never compile) — and memory accesses go unchecked behind
+   their explicit bounds test.  The trap exit is the one slow case: it
+   reconstructs the partial cycle sum by re-walking the lat fields of
+   the records already executed.
 
    Block chaining: a terminator that leaves the core Running jumps
    straight into the successor block through [exec_chain] when that
    block is already decoded and the remaining fuel covers its worst
    case, skipping the dispatcher round trip entirely (the dominant
    cost for short loop bodies).  This is sound because the dispatcher's
-   re-checks cannot change outcome mid-chain under [plain_mem]: the
-   pending-interrupt condition was false at dispatch and only unsafe
-   instructions (Ei/Di/Rti — never inside a block) or hooks (absent)
-   can make it true, and a non-Running status exits the chain by
-   construction.  [acc] threads the fuel consumed by earlier blocks of
-   the chain so every continuation is a tail call. *)
+   re-checks cannot change outcome mid-chain: the pending-interrupt
+   condition was false at dispatch and only unsafe instructions
+   (Ei/Di/Rti and the hook-calling In/Out/Custom — never inside a
+   block) can make it true, and a non-Running status exits the chain
+   by construction.  [acc] threads the fuel consumed by earlier blocks
+   of the chain so every continuation is a tail call. *)
 let exec_fast_trap t u acc i addr =
   let cy = ref 0 in
   for k = 0 to i - 1 do
@@ -722,67 +522,58 @@ and exec_chain t entries fuel_left acc pc =
         acc
   else acc
 
-let exec_block t entries (blk : Bc.block) ~max_steps =
-  if t.plain_mem && max_steps >= blk.Bc.n then
-    exec_fast t entries max_steps 0 blk.Bc.uops blk.Bc.full_cycles
-      blk.Bc.full_instrs 0
-  else exec_uops t blk.Bc.uops max_steps 0 0 0
-
-(* A pattern match instead of [t.status = Running]: [status] carries a
-   string payload, so [=] is a generic-equality call — too expensive
-   for a per-dispatch check. *)
-let is_running t = match t.status with Running -> true | _ -> false
-
+(* Three-way dispatch (cpu.mli has the why): a hook-backed or profiled
+   core runs the slice on [run_steps]; a decoded block that fits in the
+   remaining fuel runs whole on [exec_fast]; anything else takes one
+   [step].  A block longer than the remaining fuel means the slice ends
+   inside it, so the rest of the slice steps too — without decoding a
+   block at every pc it passes. *)
 let run_blocks t ~fuel =
-  match t.retire_cb with
-  | Some _ ->
-      (* per-instruction attribution must observe an up-to-date [cycles]
-         at every retirement, so profiled runs stay on the reference
-         tier *)
-      run_fast t ~fuel
-  | None ->
-      let cache =
-        match t.blocks with
-        | Some c -> c
+  if (not t.plain_mem) || Option.is_some t.retire_cb then run_steps t ~fuel
+  else
+    let cache =
+      match t.blocks with
+      | Some c -> c
+      | None ->
+          let c = Bc.create ~latency:t.latency t.code in
+          t.blocks <- Some c;
+          c
+    in
+    let entries = Bc.entries cache in
+    let code_len = Array.length t.code in
+    let steps = ref 0 in
+    while is_running t && !steps < fuel do
+      if
+        t.pc < 0 || t.pc >= code_len
+        || (t.irq_line && t.irq_enable && not t.in_isr)
+      then begin
+        ignore (step t);
+        incr steps
+      end
+      else
+        (* hit path is a plain table load — [t.pc] was bounds-checked
+           above and [entries] has one slot per pc *)
+        let left = fuel - !steps in
+        match Array.unsafe_get entries t.pc with
+        | Some (Bc.Block blk) when left >= blk.Bc.n ->
+            steps :=
+              !steps
+              + exec_fast t entries left 0 blk.Bc.uops blk.Bc.full_cycles
+                  blk.Bc.full_instrs 0
+        | Some (Bc.Block _) -> steps := !steps + run_steps t ~fuel:left
+        | Some Bc.Unsafe ->
+            ignore (step t);
+            incr steps
         | None ->
-            let c = Bc.create ~latency:t.latency t.code in
-            t.blocks <- Some c;
-            c
-      in
-      let entries = Bc.entries cache in
-      let code_len = Array.length t.code in
-      let steps = ref 0 in
-      while is_running t && !steps < fuel do
-        if
-          t.pc < 0 || t.pc >= code_len
-          || (t.irq_line && t.irq_enable && not t.in_isr)
-        then begin
-          (* out-of-range pc trap and interrupt entry go through [step]
-             so their semantics (and fuel charge) are identical by
-             construction *)
-          ignore (step t);
-          incr steps
-        end
-        else begin
-          (* hit path is a plain table load — [t.pc] was bounds-checked
-             above and [entries] has one slot per pc *)
-          match Array.unsafe_get entries t.pc with
-          | Some (Bc.Block blk) ->
-              steps := !steps + exec_block t entries blk ~max_steps:(fuel - !steps)
-          | Some Bc.Unsafe ->
-              ignore (step t);
-              incr steps
-          | None ->
-              (* decode on first touch, then let the loop re-dispatch *)
-              ignore (Bc.get cache ~pc:t.pc)
-        end
-      done;
-      !steps
+            (* decode on first touch, then let the loop re-dispatch *)
+            ignore (Bc.get cache ~pc:t.pc)
+    done;
+    !steps
 
 let blocks_compiled t =
   match t.blocks with None -> 0 | Some c -> Bc.blocks_compiled c
 
 let run_compiled ?(fuel = 50_000_000) t =
   ignore (run_blocks t ~fuel);
-  if t.status = Running then t.status <- Trapped "fuel exhausted";
+  if is_running t then t.status <- Trapped "fuel exhausted";
   t.status

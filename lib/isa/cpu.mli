@@ -91,14 +91,10 @@ val step : t -> int
     cycles the step consumed (0 when already halted/trapped).  Status
     may change as a side effect. *)
 
-val run_fast : t -> fuel:int -> int
-(** The inner dispatch loop of {!run}: execute up to [fuel] steps
-    without per-step bookkeeping beyond {!step} itself, stopping early
-    on [Halted]/[Trapped].  Returns the number of steps executed;
-    unlike {!run} it does not turn fuel exhaustion into a trap, so
-    slicing callers (budget supervisors, fuzzing oracles) can
-    interleave bounded bursts with their own checks.  Semantically
-    identical to calling {!step} in a loop.
+val run : ?fuel:int -> t -> status
+(** The step tier: call {!step} until [Halted] or [Trapped]; [fuel]
+    bounds the step count (default 50 million) and exhaustion traps.
+    This is the precise reference the block tier is tested against.
 
     {b Fuel contract} (shared with {!run_blocks} and
     {!Codesign_resil.Budget.run_cpu}): one fuel step is one retired
@@ -108,31 +104,32 @@ val run_fast : t -> fuel:int -> int
     [steps > instret] by exactly the number of interrupt entries (plus
     one if the run ended in a trap). *)
 
-val run : ?fuel:int -> t -> status
-(** Step until [Halted] or [Trapped]; [fuel] bounds the step count
-    (default 50 million, counted per the fuel contract of {!run_fast})
-    and exhaustion traps.  Implemented on {!run_fast}. *)
-
 val run_blocks : t -> fuel:int -> int
-(** The block-compiled tier: same observable semantics and same fuel
-    contract as {!run_fast}, typically several times faster.  Basic
-    blocks are decoded once (lazily, via {!Block_compiler}) into flat
-    micro-op records and executed whole per dispatch, with
-    cycles/instret updated once at block exit.  Interrupts are polled
-    at block boundaries and after every [Lw]/[Sw] (the only in-block
-    instructions whose hooks can raise the request line), so interrupt
-    entry points, port traces and trap locations are identical to the
-    step tier.  Instructions with environment-visible or
-    interrupt-visible work ([In]/[Out]/[Custom]/[Ei]/[Di]/[Rti]) and
-    interrupt entries fall back to {!step}.  When an {!on_retire}
-    callback is installed the whole run falls back to {!run_fast} so
-    per-instruction attribution observes an up-to-date cycle counter.
-    The decoded-block cache lives on the CPU, is built on first
-    dispatch, survives {!reset} and is never invalidated (the program
-    is immutable). *)
+(** The block-compiled tier: execute up to [fuel] steps (counted per
+    the fuel contract of {!run}) with the same observable semantics as
+    a {!step} loop, typically several times faster, stopping early on
+    [Halted]/[Trapped].  Returns the steps executed; it does not turn
+    fuel exhaustion into a trap, so slicing callers (budget
+    supervisors, quantum co-simulation) can interleave bounded bursts
+    with their own checks.  Basic blocks are decoded once (lazily, via
+    {!Block_compiler}) into flat micro-op records; a block that fits in
+    the remaining fuel runs whole, with cycles/instret updated once at
+    block exit.  Everything else takes {!step}: instructions with
+    environment-visible or interrupt-visible work
+    ([In]/[Out]/[Custom]/[Ei]/[Di]/[Rti]), interrupt entries (polled at
+    block boundaries, so entry points, port traces and trap locations
+    are identical to the step tier), an out-of-range pc, and a slice
+    that ends inside a block.  A core with memory hooks
+    ([mem_read]/[mem_write] other than {!default_env}'s) or an
+    {!on_retire} callback runs the whole slice on {!step}, since a hook
+    may trap the core or raise the request line between any two
+    instructions and per-instruction attribution needs an up-to-date
+    cycle counter.  The decoded-block cache lives on the CPU, is built
+    on first dispatch, survives {!reset} and is never invalidated (the
+    program is immutable). *)
 
 val run_compiled : ?fuel:int -> t -> status
-(** {!run} on the block-compiled tier: step until [Halted]/[Trapped]
+(** {!run} on the block-compiled tier: run until [Halted]/[Trapped]
     via {!run_blocks}; fuel exhaustion traps. *)
 
 val blocks_compiled : t -> int

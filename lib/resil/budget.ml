@@ -105,9 +105,9 @@ let run_cpu t cpu =
               | Some f -> min cpu_slice f
             in
             (* the block-compiled tier charges fuel under the same
-               contract as run_fast (one step per retired instruction,
-               interrupt entry or trapping access), so budget outcomes
-               are tier-independent *)
+               contract as the step loop [Cpu.run] (one step per
+               retired instruction, interrupt entry or trapping access),
+               so budget outcomes are tier-independent *)
             let ran = Cpu.run_blocks cpu ~fuel:slice in
             spend t ran;
             (* run_blocks returning short without a status change cannot

@@ -221,6 +221,13 @@ let test_network_engine_serialisation () =
   in
   check Alcotest.bool "parallel engines faster" true
     (separate.Cosim.end_time < both_one.Cosim.end_time);
+  (* an unnamed worker gets an engine of its own, whatever id the named
+     one has *)
+  let one_named =
+    Cosim.run_network ~hw_engines:[ ("worker0", 1001) ] net
+  in
+  check Alcotest.int "unnamed engine is separate" separate.Cosim.end_time
+    one_named.Cosim.end_time;
   (* functional equality *)
   let v r =
     List.fold_left (fun a (_, _, x) -> a + x) 0 r.Cosim.port_writes

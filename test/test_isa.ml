@@ -438,7 +438,9 @@ let test_cpu_fuel_at_irq_boundary () =
     let cpu = Cpu.create img.Asm.code in
     Cpu.set_irq cpu true;
     (* j + ei: two instructions, line already high but masked *)
-    ignore (Cpu.run_fast cpu ~fuel:2);
+    for _ = 1 to 2 do
+      ignore (Cpu.step cpu)
+    done;
     check Alcotest.int "prelude retired" 2 (Cpu.instret cpu);
     let cycles_before = Cpu.cycles cpu in
     let consumed = runner cpu 1 in
@@ -448,7 +450,13 @@ let test_cpu_fuel_at_irq_boundary () =
     check Alcotest.int "nothing retired by the entry" 2 (Cpu.instret cpu);
     check Alcotest.int "vectored" 1 (Cpu.pc cpu)
   in
-  with_tier (fun cpu fuel -> Cpu.run_fast cpu ~fuel);
+  with_tier (fun cpu fuel ->
+      let steps = ref 0 in
+      while Cpu.status cpu = Cpu.Running && !steps < fuel do
+        ignore (Cpu.step cpu);
+        incr steps
+      done;
+      !steps);
   with_tier (fun cpu fuel -> Cpu.run_blocks cpu ~fuel)
 
 (* ------------------------------------------------------------------ *)
