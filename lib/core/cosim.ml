@@ -507,10 +507,12 @@ let rec dyn_stmts trip (s : B.stmt) =
 
 and dyn_list trip l = List.fold_left (fun a s -> a + dyn_stmts trip s) 0 l
 
-let hw_stmt_cycles proc =
-  let est = Codesign_hls.Hls.estimate proc in
+let stmt_cycles_of_estimate proc (est : Codesign_hls.Hls.behavior_estimate) =
   let d = max 1 (dyn_list 1 proc.B.body) in
   max 1 (est.Codesign_hls.Hls.cycles / d)
+
+let hw_stmt_cycles proc =
+  stmt_cycles_of_estimate proc (Codesign_hls.Hls.estimate proc)
 
 let chan_port_base = 100
 
@@ -625,11 +627,37 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition
     List.mapi (fun i (c : Pn.channel) -> (c.Pn.cname, chan_port_base + i))
       net.Pn.channels
   in
-  let chan_of_port p =
-    let name, _ =
-      List.find (fun (_, port) -> port = p) chan_ports
-    in
-    List.assoc name channels
+  (* Each channel is resolved once here, to its endpoint and the extra
+     cycles a send on it costs: by declaration index for software ports
+     (port [chan_port_base + i] is channel [i]) and by name for the
+     hardware processes' named sends and receives. *)
+  let chan_arr = Array.of_list (List.map snd channels) in
+  let send_cost =
+    Array.of_list
+      (List.map
+         (fun (c : Pn.channel) ->
+           let crossing =
+             engine.(proc_idx c.Pn.src) <> engine.(proc_idx c.Pn.dst)
+           in
+           if crossing then cross_cost else 0)
+         net.Pn.channels)
+  in
+  let chan_index : (string, int) Hashtbl.t =
+    Hashtbl.create (2 * Array.length chan_arr)
+  in
+  (* the first channel of a name wins *)
+  List.iteri
+    (fun i (c : Pn.channel) ->
+      if not (Hashtbl.mem chan_index c.Pn.cname) then
+        Hashtbl.replace chan_index c.Pn.cname i)
+    net.Pn.channels;
+  let index_of_name name = Hashtbl.find chan_index name in
+  let index_of_port p =
+    let i = p - chan_port_base in
+    if i >= Array.length chan_arr then
+      invalid_arg
+        (Printf.sprintf "Cosim.run_network: port %d names no channel" p);
+    i
   in
   (* Observables are recorded per partition (each array cell is touched
      only by the domain running that partition) and tagged with
@@ -638,20 +666,6 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition
      the simulation, not of which wheel or domain hosted the writer. *)
   let pw : (int * int * int * int * int) list ref array =
     Array.init nparts (fun _ -> ref [])
-  in
-  let send_cost_of_chan =
-    List.map
-      (fun (c : Pn.channel) ->
-        let crossing =
-          engine.(proc_idx c.Pn.src) <> engine.(proc_idx c.Pn.dst)
-        in
-        (c.Pn.cname, if crossing then cross_cost else 0))
-      net.Pn.channels
-  in
-  let chan_send_cost name = List.assoc name send_cost_of_chan in
-  let port_send_cost p =
-    let name, _ = List.find (fun (_, port) -> port = p) chan_ports in
-    chan_send_cost name
   in
   let cpu_token = Mutex.create () in
   let engine_tokens : (int, Mutex.t) Hashtbl.t = Hashtbl.create 4 in
@@ -686,7 +700,7 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition
                 (fun p ->
                   if p >= chan_port_base then begin
                     Mutex.release cpu_token;
-                    let v = Ch.recv (chan_of_port p) in
+                    let v = Ch.recv chan_arr.(index_of_port p) in
                     Mutex.acquire cpu_token;
                     v
                   end
@@ -694,10 +708,11 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition
               port_out =
                 (fun p v ->
                   if p >= chan_port_base then begin
-                    let cost = port_send_cost p in
+                    let i = index_of_port p in
+                    let cost = send_cost.(i) in
                     if cost > 0 then K.wait cost;
                     Mutex.release cpu_token;
-                    Ch.send (chan_of_port p) v;
+                    Ch.send chan_arr.(i) v;
                     Mutex.acquire cpu_token
                   end
                   else record_port p v);
@@ -731,7 +746,7 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition
       | Pn.Hw ->
           let est = Codesign_hls.Hls.estimate proc in
           hw_area := !hw_area + est.Codesign_hls.Hls.area;
-          let stmt_cost = hw_stmt_cycles proc in
+          let stmt_cost = stmt_cycles_of_estimate proc est in
           let token =
             match Hashtbl.find_opt engine_tokens engine.(my_idx) with
             | Some t -> t
@@ -746,15 +761,16 @@ let run_network ?hw_engines ?(cross_cost = 0) ?until ?partition
               B.recv =
                 (fun ch ->
                   Mutex.release token;
-                  let v = Ch.recv (List.assoc ch channels) in
+                  let v = Ch.recv chan_arr.(index_of_name ch) in
                   Mutex.acquire token;
                   v);
               send =
                 (fun ch v ->
-                  let cost = chan_send_cost ch in
+                  let i = index_of_name ch in
+                  let cost = send_cost.(i) in
                   if cost > 0 then K.wait cost;
                   Mutex.release token;
-                  Ch.send (List.assoc ch channels) v;
+                  Ch.send chan_arr.(i) v;
                   Mutex.acquire token);
               port_out = (fun p v -> record_port p v);
             }

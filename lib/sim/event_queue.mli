@@ -14,7 +14,10 @@
     than of when it was physically inserted into this particular wheel.
     That is what lets a cross-partition arrival — injected at a barrier,
     long after local events at the same timestamp were pushed — fire in
-    exactly the place it would have occupied on a single serial wheel. *)
+    exactly the place it would have occupied on a single serial wheel.
+
+    The heap is kept as flat arrays: times, keys and sequence numbers
+    unboxed in three [int array]s, the thunks in a fourth. *)
 
 type t
 
@@ -31,6 +34,12 @@ val push_keyed : t -> time:int -> key:int -> seq:int -> (unit -> unit) -> unit
     timestamp (the latency machinery uses one key per channel and a
     per-channel send counter).  @raise Invalid_argument on negative time
     or a key outside [0, max_int). *)
+
+val count_push : t -> unit
+(** Account for an ordinary {!push} whose event would be popped at once,
+    without storing it: the insertion sequence and {!pushed_total}
+    advance exactly as [push] would advance them.  {!Kernel.wait} uses
+    it when it runs ahead in place. *)
 
 val pop : t -> (int * (unit -> unit)) option
 (** Remove and return the earliest event (ties broken by insertion

@@ -22,7 +22,18 @@ type t = {
   blocked : (int, string * bool) Hashtbl.t;  (** id -> (name, daemon) *)
   mutable tracer : (int -> string -> unit) option;
   mutable next_lane : int;  (** arrival-lane key allocator *)
+  mutable in_proc : bool;
+      (** a process of this kernel is executing (set by its resume events) *)
 }
+
+(* The stop-less dispatch loop active on this domain, as {!wait} sees
+   it: the kernel it drains and its bound.  [dispatch] sets and restores
+   it, so nested kernels and partition rounds on worker domains each see
+   their own loop; [running = None] outside every loop and inside a
+   [stop] run, where each event is dispatched on its own. *)
+type ahead = { mutable running : t option; mutable limit : int }
+
+let ahead_key = Domain.DLS.new_key (fun () -> { running = None; limit = 0 })
 
 (* Cumulative per-domain counters across every kernel run in this domain.
    The bench harness runs one experiment per domain and reads the deltas,
@@ -71,7 +82,6 @@ let merge_domain_totals d =
 
 type _ Effect.t +=
   | Wait : int -> unit Effect.t
-  | Yield : unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
   | Whoami : string Effect.t
 
@@ -88,6 +98,7 @@ let create () =
     blocked = Hashtbl.create 16;
     tracer = None;
     next_lane = 0;
+    in_proc = false;
   }
 
 let now k = k.now
@@ -112,9 +123,20 @@ let alloc_lane k =
 
 let spawn ?(name = "proc") ?(daemon = false) k fn =
   k.spawned <- k.spawned + 1;
+  (* The kernel is marked as executing a process from each event that
+     runs this one until it suspends or ends.  The mark is set before
+     the [continue] and cleared by the handler, which keeps the
+     [continue] a tail call; an exception escaping the process leaves
+     the mark set, and [dispatch] restores it on the way out. *)
+  let resume_at time (cont : (unit, unit) continuation) =
+    at k ~time (fun () ->
+        k.activations <- k.activations + 1;
+        k.in_proc <- true;
+        continue cont ())
+  in
   let handler : (unit, unit) handler =
     {
-      retc = (fun () -> ());
+      retc = (fun () -> k.in_proc <- false);
       exnc = (fun e -> raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -125,19 +147,14 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
                   if n < 0 then
                     discontinue cont
                       (Invalid_argument "Kernel.wait: negative delay")
-                  else
-                    at k ~time:(k.now + n) (fun () ->
-                        k.activations <- k.activations + 1;
-                        continue cont ()))
-          | Yield ->
-              Some
-                (fun (cont : (a, unit) continuation) ->
-                  at k ~time:k.now (fun () ->
-                      k.activations <- k.activations + 1;
-                      continue cont ()))
+                  else begin
+                    k.in_proc <- false;
+                    resume_at (k.now + n) cont
+                  end)
           | Suspend register ->
               Some
                 (fun (cont : (a, unit) continuation) ->
+                  k.in_proc <- false;
                   let id = k.next_block_id in
                   k.next_block_id <- id + 1;
                   Hashtbl.replace k.blocked id (name, daemon);
@@ -148,9 +165,7 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
                           ("Kernel: process " ^ name ^ " resumed twice");
                       resumed := true;
                       Hashtbl.remove k.blocked id;
-                      at k ~time:k.now (fun () ->
-                          k.activations <- k.activations + 1;
-                          continue cont ())))
+                      resume_at k.now cont))
           | Whoami ->
               Some (fun (cont : (a, unit) continuation) -> continue cont name)
           | _ -> None);
@@ -158,13 +173,39 @@ let spawn ?(name = "proc") ?(daemon = false) k fn =
   in
   at k ~time:k.now (fun () ->
       k.activations <- k.activations + 1;
+      k.in_proc <- true;
       match_with fn () handler)
 
-let in_process f = try f () with Effect.Unhandled _ -> raise Not_in_process
+(* Run-ahead: when the calling process belongs to the kernel whose
+   stop-less loop is running and its wake-up time is within the loop's
+   bound and strictly before every pending event, the dispatch loop's
+   next pop would be this very wake-up.  Advancing the clock in place
+   and counting the event, the push and the activation is then the same
+   simulation without the effect, the heap push and pop and the
+   [continue].  [k.now <= limit] holds inside a dispatched event, which
+   keeps [limit - k.now] from overflowing; every pending time is
+   [>= k.now], so [min_time - k.now] cannot either. *)
+let wait n =
+  let a = Domain.DLS.get ahead_key in
+  match a.running with
+  | Some k
+    when k.in_proc && n >= 0 && k.now <= a.limit
+         && n <= a.limit - k.now
+         && n < Event_queue.min_time k.q - k.now ->
+      k.now <- k.now + n;
+      k.events <- k.events + 1;
+      k.activations <- k.activations + 1;
+      Event_queue.count_push k.q
+  | _ -> (
+      try perform (Wait n) with Effect.Unhandled _ -> raise Not_in_process)
 
-let wait n = in_process (fun () -> perform (Wait n))
-let yield () = in_process (fun () -> perform Yield)
-let suspend ~register = in_process (fun () -> perform (Suspend register))
+(* Rescheduling at the current time is a zero wait: the same push, the
+   same place behind the events already pending at [now]. *)
+let yield () = wait 0
+let suspend ~register =
+  try perform (Suspend register)
+  with Effect.Unhandled _ -> raise Not_in_process
+
 let self_name () = try perform Whoami with Effect.Unhandled _ -> "?"
 
 let stats k =
@@ -181,37 +222,58 @@ let blocked_non_daemon k =
     (fun _ (n, daemon) acc -> if daemon then acc else n :: acc)
     k.blocked []
 
-let run ?until ?stop ?(expect_quiescent = false) ?(check_deadlock = false) k =
+(* The one dispatch loop: pop and run every event with time <= [limit],
+   polling [stop] (when given) before each one; [true] iff [stop] cut
+   the run short.  Without [stop] this loop is the running one that
+   {!wait} may run ahead in.  The previous loop's state — an enclosing
+   run's, when a process runs a kernel of its own — is restored on every
+   exit, exceptions included.  Per-domain totals are settled here, so a
+   round run on a worker domain contributes a mergeable delta. *)
+let dispatch k ~limit ~stop =
   let events0 = k.events
   and activations0 = k.activations
   and scheduled0 = Event_queue.pushed_total k.q in
-  (* One reused slot keeps the steady-state dispatch loop allocation-free:
-     pop_into merges the peek / bound-compare / pop of the old loop into a
-     single heap operation per event. *)
-  let limit = match until with Some u -> u | None -> max_int in
+  let a = Domain.DLS.get ahead_key in
+  let running0 = a.running and limit0 = a.limit and in_proc0 = k.in_proc in
+  a.running <- (match stop with None -> Some k | Some _ -> None);
+  a.limit <- limit;
+  (* a process that runs its own kernel: the events this loop dispatches
+     are not that process *)
+  k.in_proc <- false;
+  (* One reused slot keeps the steady-state loop allocation-free. *)
   let slot = Event_queue.slot () in
   let stopped =
-    match stop with
-    | None ->
-        (* Hot path: no per-event predicate call. *)
-        while Event_queue.pop_into k.q ~limit slot do
-          k.now <- slot.Event_queue.s_time;
-          k.events <- k.events + 1;
-          slot.Event_queue.s_thunk ()
-        done;
-        false
-    | Some stop ->
-        let halted = ref false in
-        while (not !halted) && not (stop ()) do
-          if Event_queue.pop_into k.q ~limit slot then begin
+    Fun.protect
+      ~finally:(fun () ->
+        a.running <- running0;
+        a.limit <- limit0;
+        k.in_proc <- in_proc0)
+      (fun () ->
+        let stopped = ref false and go = ref true in
+        while !go do
+          if match stop with None -> false | Some f -> f () then begin
+            stopped := true;
+            go := false
+          end
+          else if Event_queue.pop_into k.q ~limit slot then begin
             k.now <- slot.Event_queue.s_time;
             k.events <- k.events + 1;
             slot.Event_queue.s_thunk ()
           end
-          else halted := true
+          else go := false
         done;
-        not !halted
+        !stopped)
   in
+  let totals = Domain.DLS.get totals_key in
+  totals.c_events <- totals.c_events + (k.events - events0);
+  totals.c_activations <- totals.c_activations + (k.activations - activations0);
+  totals.c_scheduled <-
+    totals.c_scheduled + (Event_queue.pushed_total k.q - scheduled0);
+  stopped
+
+let run ?until ?stop ?(expect_quiescent = false) ?(check_deadlock = false) k =
+  let limit = match until with Some u -> u | None -> max_int in
+  let stopped = dispatch k ~limit ~stop in
   (* With a bound, simulated time always advances to the bound — even
      when future events remain queued past it — so that repeated bounded
      runs keep a consistent clock for subsequent [at]/[wait] calls.  A
@@ -220,11 +282,6 @@ let run ?until ?stop ?(expect_quiescent = false) ?(check_deadlock = false) k =
      consistent timeline. *)
   (if not stopped then
      match until with Some u when u > k.now -> k.now <- u | _ -> ());
-  let totals = Domain.DLS.get totals_key in
-  totals.c_events <- totals.c_events + (k.events - events0);
-  totals.c_activations <- totals.c_activations + (k.activations - activations0);
-  totals.c_scheduled <-
-    totals.c_scheduled + (Event_queue.pushed_total k.q - scheduled0);
   let stuck = blocked_non_daemon k in
   if
     (not stopped)
@@ -245,24 +302,8 @@ let next_event_time k = Event_queue.min_time k.q
 (* One barrier round of the partitioned (LBTS) loop: dispatch every
    event up to [horizon] and stop, leaving the clock at the last
    dispatched event.  No coasting, no deadlock check — the Partition
-   driver owns both across the whole set of wheels.  Per-domain totals
-   are settled here because a horizon run may execute on a worker
-   domain whose DLS deltas are merged after the join. *)
-let run_horizon k ~horizon =
-  let events0 = k.events
-  and activations0 = k.activations
-  and scheduled0 = Event_queue.pushed_total k.q in
-  let slot = Event_queue.slot () in
-  while Event_queue.pop_into k.q ~limit:horizon slot do
-    k.now <- slot.Event_queue.s_time;
-    k.events <- k.events + 1;
-    slot.Event_queue.s_thunk ()
-  done;
-  let totals = Domain.DLS.get totals_key in
-  totals.c_events <- totals.c_events + (k.events - events0);
-  totals.c_activations <- totals.c_activations + (k.activations - activations0);
-  totals.c_scheduled <-
-    totals.c_scheduled + (Event_queue.pushed_total k.q - scheduled0)
+   driver owns both across the whole set of wheels. *)
+let run_horizon k ~horizon = ignore (dispatch k ~limit:horizon ~stop:None)
 
 let coast k ~time = if time > k.now then k.now <- time
 

@@ -88,8 +88,9 @@ val run :
     the last dispatched event (no coasting to [until]) and no deadlock
     check — an interrupted run is not a completed window.  Use
     {!has_pending_events} to distinguish "stopped early" from "drained".
-    The predicate costs one call per event, paid only when supplied —
-    the [stop]-less dispatch loop is unchanged.
+    The predicate costs one call per event, paid only when supplied.  A
+    [stop] run dispatches every event on its own: {!wait} never runs
+    ahead in it, so the predicate sees each wake-up.
     {!Codesign_resil.Budget} uses this to impose wall-clock deadlines.  If non-daemon processes remain
     blocked at quiescence and [expect_quiescent] is [false] (the
     default) and no [until] was given, raises {!Deadlock}; with
@@ -175,11 +176,20 @@ val merge_domain_totals : domain_totals -> unit
 (** {2 Blocking primitives (call only inside a process)} *)
 
 val wait : int -> unit
-(** Advance this process's time by a non-negative delta. *)
+(** Advance this process's time by a non-negative delta.
+
+    When the calling process belongs to the kernel whose [stop]-less
+    {!run} or {!run_horizon} is dispatching on this domain, and
+    [now + n] is within that run's bound and strictly before every
+    pending event, the wake-up would be the very next event dispatched:
+    the clock then advances in place and the event, its push and the
+    activation are counted as if it had gone through the queue.  Every
+    observable — times, orders, {!stats}, per-domain totals — is the
+    same as dispatching it. *)
 
 val yield : unit -> unit
 (** Reschedule after events already pending at the current time — a
-    delta-cycle boundary. *)
+    delta-cycle boundary.  The same as [wait 0]. *)
 
 val suspend : register:((unit -> unit) -> unit) -> unit
 (** The general blocking primitive: captures the continuation and passes

@@ -137,9 +137,12 @@ let prop_q_sorted_fifo =
       in
       List.length l = List.length times && ok l)
 
-(* 10k pseudo-random interleaved pushes and pops against a sorted-list
-   model: the pop order is (time, insertion sequence) even while the
-   queue is mutating, not just after a bulk load *)
+(* 10k pseudo-random interleaved operations against a sorted-list model:
+   ordinary and keyed pushes, pops bounded by a random limit, and
+   snapshots restored mid-stream.  The backlog grows well past the
+   initial 64 slots, so growth and restore-into-a-grown-heap are both
+   exercised; the pop order must be (time, key, seq) throughout, and a
+   restore must rewind the insertion sequence and the push total too. *)
 let test_q_interleaved_model () =
   let q = Q.create () in
   let seed = ref 77 in
@@ -147,40 +150,74 @@ let test_q_interleaved_model () =
     seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
     !seed mod bound
   in
-  let model = ref [] (* (time, seq), sorted with stable ties *) in
-  let insert time s =
-    let rec go = function
-      | (t, s') :: rest when t < time || (t = time && s' < s) ->
-          (t, s') :: go rest
-      | l -> (time, s) :: l
-    in
-    model := go !model
-  in
-  let last = ref (-1, -1) in
-  let seq = ref 0 in
-  for _ = 1 to 10_000 do
-    if next 5 < 3 then begin
-      (* biased towards pushes so the queue keeps a deep backlog *)
-      let time = next 50 in
-      let s = !seq in
-      incr seq;
-      insert time s;
-      Q.push q ~time (fun () -> last := (time, s))
+  (* model entries (time, key, seq, id), kept sorted; (time, key, seq)
+     is unique, so the id never decides the order *)
+  let model = ref [] in
+  let ordinary_seq = ref 0 and lane_seq = Array.make 4 0 in
+  let pushed = ref 0 and next_id = ref 0 in
+  let saved = ref None in
+  let last = ref (-1) and peak = ref 0 in
+  let slot = Q.slot () in
+  let push () =
+    let time = next 200 and id = !next_id in
+    incr next_id;
+    incr pushed;
+    if next 3 = 0 then begin
+      let key = next 4 in
+      let seq = lane_seq.(key) in
+      lane_seq.(key) <- seq + 1;
+      model := List.merge compare [ (time, key, seq, id) ] !model;
+      Q.push_keyed q ~time ~key ~seq (fun () -> last := id)
     end
-    else
-      match (Q.pop q, !model) with
-      | None, [] -> ()
-      | Some (t, f), (mt, ms) :: rest ->
-          model := rest;
-          f ();
-          check
-            (Alcotest.pair Alcotest.int Alcotest.int)
-            "pop matches model" (mt, ms) !last;
-          check Alcotest.int "reported pop time" mt t
-      | Some _, [] -> fail "queue popped but model is empty"
-      | None, _ :: _ -> fail "queue empty but model is not"
+    else begin
+      let seq = !ordinary_seq in
+      incr ordinary_seq;
+      model := List.merge compare [ (time, max_int, seq, id) ] !model;
+      Q.push q ~time (fun () -> last := id)
+    end
+  in
+  let pop_bounded () =
+    let limit = next 220 in
+    let popped = Q.pop_into q ~limit slot in
+    match !model with
+    | (time, _, _, id) :: rest when time <= limit ->
+        check Alcotest.bool "pop_into takes the model head" true popped;
+        model := rest;
+        slot.Q.s_thunk ();
+        check Alcotest.int "pop matches model" id !last;
+        check Alcotest.int "reported pop time" time slot.Q.s_time
+    | _ -> check Alcotest.bool "nothing due by the limit" false popped
+  in
+  for _ = 1 to 10_000 do
+    let r = next 1000 in
+    if r < 560 then push ()
+    else if r < 960 then pop_bounded ()
+    else if r < 980 then
+      saved :=
+        Some (Q.snapshot q, !model, !ordinary_seq, Array.copy lane_seq, !pushed)
+    else begin
+      match !saved with
+      | None -> ()
+      | Some (snap, m, os, ls, pu) ->
+          Q.restore q snap;
+          model := m;
+          ordinary_seq := os;
+          Array.blit ls 0 lane_seq 0 4;
+          pushed := pu
+    end;
+    peak := max !peak (Q.size q);
+    check Alcotest.int "sizes agree" (List.length !model) (Q.size q)
   done;
-  check Alcotest.int "sizes agree" (List.length !model) (Q.size q)
+  check Alcotest.bool "grew past the initial 64 slots" true (!peak > 64);
+  check Alcotest.int "pushed_total" !pushed (Q.pushed_total q);
+  List.iter
+    (fun (time, _, _, id) ->
+      check Alcotest.bool "drain" true (Q.pop_into q ~limit:max_int slot);
+      slot.Q.s_thunk ();
+      check Alcotest.int "drain matches model" id !last;
+      check Alcotest.int "drain time" time slot.Q.s_time)
+    !model;
+  check Alcotest.bool "drained" true (Q.is_empty q)
 
 let test_q_negative () =
   let q = Q.create () in
@@ -696,6 +733,322 @@ let test_vcd_golden () =
   in
   check Alcotest.string "vcd dump matches golden" golden (Vcd.dump vcd)
 
+(* ------------------------------------------------------------------ *)
+(* Run-ahead waits vs per-event dispatch                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A [stop] run dispatches every event on its own, so it is the
+   reference the stop-less loop (where a wait may advance the clock in
+   place) must match event for event. *)
+type mode = Fast | Per_event
+
+let run_mode ?until mode k =
+  match mode with
+  | Fast -> K.run ?until ~expect_quiescent:true k
+  | Per_event ->
+      K.run ?until ~stop:(fun () -> false) ~expect_quiescent:true k
+
+let test_ahead_at_callback_not_in_process () =
+  (* a bare callback never counts as a process, also when it fires right
+     after a process event on the same running kernel *)
+  let k = K.create () in
+  let outcomes = ref [] in
+  let probe () =
+    outcomes :=
+      (match K.wait 1 with
+      | () -> "waited"
+      | exception K.Not_in_process -> "not in process")
+      :: !outcomes
+  in
+  K.spawn k (fun () ->
+      K.wait 2;
+      K.at k ~time:(K.now k) probe;
+      K.wait 3);
+  K.at k ~time:10 probe;
+  ignore (K.run k);
+  (* nor after a process suspended: the callback that resumes it *)
+  let k2 = K.create () in
+  K.spawn k2 (fun () ->
+      K.suspend ~register:(fun resume ->
+          K.at k2 ~time:3 (fun () ->
+              probe ();
+              resume ())));
+  ignore (K.run k2);
+  check
+    (Alcotest.list Alcotest.string)
+    "every callback refused"
+    [ "not in process"; "not in process"; "not in process" ]
+    !outcomes
+
+let test_ahead_stop_polled_per_event () =
+  (* a [stop] run dispatches one event per poll: a lone process cannot
+     run ahead of the predicate that would stop it *)
+  let k = K.create () in
+  let wakes = ref 0 and polls = ref 0 in
+  K.spawn k (fun () ->
+      for _ = 1 to 100 do
+        K.wait 1;
+        incr wakes
+      done);
+  let st =
+    K.run
+      ~stop:(fun () ->
+        incr polls;
+        !polls > 5)
+      k
+  in
+  check Alcotest.int "start + 4 wake-ups dispatched" 4 !wakes;
+  check Alcotest.int "clock left at the last dispatched event" 4
+    st.K.end_time;
+  check Alcotest.bool "work still pending" true (K.has_pending_events k)
+
+let test_ahead_exception_leaves_domain_clean () =
+  let k1 = K.create () in
+  K.spawn k1 (fun () ->
+      K.wait 4;
+      failwith "boom");
+  (match K.run k1 with
+  | _ -> fail "expected the process's exception"
+  | exception Failure _ -> ());
+  (try
+     K.wait 1;
+     fail "wait outside any run must raise"
+   with K.Not_in_process -> ());
+  (* the failed kernel's callbacks are still not processes *)
+  let refused = ref false in
+  K.at k1 ~time:9 (fun () ->
+      try K.wait 1 with K.Not_in_process -> refused := true);
+  ignore (K.run k1);
+  check Alcotest.bool "callback on the failed kernel refused" true !refused;
+  (* a fresh kernel on the same domain runs exactly as the reference *)
+  let lone mode =
+    let k = K.create () in
+    let log = ref [] in
+    K.spawn k (fun () ->
+        for i = 1 to 5 do
+          K.wait i;
+          log := K.now k :: !log
+        done);
+    let st = run_mode mode k in
+    (List.rev !log, st)
+  in
+  let log, st = lone Fast and log', st' = lone Per_event in
+  check (Alcotest.list Alcotest.int) "trace" log' log;
+  check Alcotest.bool "stats" true (st = st')
+
+let test_ahead_until_bound () =
+  (* a lone process waiting forever: the bounded run must stop its
+     clock at the bound with the next wake-up still pending, exactly as
+     dispatching one event at a time does *)
+  let bounded mode =
+    let k = K.create () in
+    let wakes = ref 0 in
+    K.spawn k (fun () ->
+        while true do
+          K.wait 7;
+          incr wakes
+        done);
+    let st = run_mode ~until:50 mode k in
+    (K.now k, K.next_event_time k, !wakes, st)
+  in
+  let now, pending, wakes, st = bounded Fast in
+  let now', pending', wakes', st' = bounded Per_event in
+  check Alcotest.int "clock at the bound" 50 now;
+  check Alcotest.int "next wake-up pending past the bound" 56 pending;
+  check Alcotest.int "wakes" 7 wakes;
+  check Alcotest.int "clock = per-event" now' now;
+  check Alcotest.int "pending = per-event" pending' pending;
+  check Alcotest.int "wakes = per-event" wakes' wakes;
+  check Alcotest.bool "stats = per-event" true (st = st')
+
+(* Random process sets.  Every op of a script logs (time, process, step)
+   when it completes; a bare callback logs with process [-1 - owner]. *)
+type op =
+  | Wait of int
+  | Yield
+  | Send of int * int  (** channel, value *)
+  | Recv of int
+  | Park  (** suspend until some process or callback wakes it *)
+  | Wake  (** resume the longest-parked process of this partition *)
+  | At of int  (** a callback this many ticks ahead, which also wakes *)
+
+type scenario = {
+  chans : (int * int * int * int) list;  (** depth, latency, src, dst *)
+  procs : (int * op list) list;  (** partition, script *)
+  until : int option;  (** a first bounded run, then a drain *)
+}
+
+let show_op = function
+  | Wait n -> Printf.sprintf "wait %d" n
+  | Yield -> "yield"
+  | Send (c, v) -> Printf.sprintf "send c%d %d" c v
+  | Recv c -> Printf.sprintf "recv c%d" c
+  | Park -> "park"
+  | Wake -> "wake"
+  | At d -> Printf.sprintf "at +%d" d
+
+let show_scenario s =
+  let chan (d, l, src, dst) =
+    Printf.sprintf "(depth %d lat %d %d->%d)" d l src dst
+  in
+  let proc (p, ops) =
+    Printf.sprintf "p%d[%s]" p (String.concat "; " (List.map show_op ops))
+  in
+  Printf.sprintf "chans %s procs %s until %s"
+    (String.concat " " (List.map chan s.chans))
+    (String.concat " " (List.map proc s.procs))
+    (match s.until with None -> "-" | Some u -> string_of_int u)
+
+let gen_scenario =
+  let open QCheck.Gen in
+  int_range 1 3 >>= fun nchans ->
+  let op =
+    frequency
+      [
+        (4, map (fun n -> Wait n) (frequency [ (2, return 0); (5, 1 -- 6) ]));
+        (1, return Yield);
+        ( 2,
+          map2 (fun c v -> Send (c, v)) (int_bound (nchans - 1)) (int_bound 99)
+        );
+        (2, map (fun c -> Recv c) (int_bound (nchans - 1)));
+        (1, return Park);
+        (1, return Wake);
+        (1, map (fun d -> At d) (int_bound 5));
+      ]
+  in
+  let chan =
+    map
+      (fun (((d, l), src), dst) -> (d, l, src, dst))
+      (pair
+         (pair (pair (int_bound 2) (oneofl [ 0; 0; 1; 3 ])) (int_bound 1))
+         (int_bound 1))
+  in
+  list_repeat nchans chan >>= fun chans ->
+  list_size (int_range 1 5) (pair (int_bound 1) (list_size (int_bound 12) op))
+  >>= fun procs ->
+  opt (int_bound 30) >>= fun until -> return { chans; procs; until }
+
+(* Build a scenario on [kern part] (one kernel for every partition on
+   the serial wheel); [log] collects the trace. *)
+let build s ~kern ~log =
+  let chans =
+    List.map
+      (fun (depth, latency, _, dst) ->
+        Channel.create ~depth ~latency (kern dst) ())
+      s.chans
+  in
+  let parked = [| Queue.create (); Queue.create () |] in
+  let wake part =
+    if not (Queue.is_empty parked.(part)) then (Queue.pop parked.(part)) ()
+  in
+  List.iteri
+    (fun pid (part, ops) ->
+      let k = kern part in
+      K.spawn ~name:(Printf.sprintf "p%d" pid) k (fun () ->
+          List.iteri
+            (fun step op ->
+              (match op with
+              | Wait n -> K.wait n
+              | Yield -> K.yield ()
+              | Send (c, v) -> Channel.send (List.nth chans c) v
+              | Recv c -> ignore (Channel.recv (List.nth chans c))
+              | Park ->
+                  K.suspend ~register:(fun resume ->
+                      Queue.push resume parked.(part))
+              | Wake -> wake part
+              | At d ->
+                  K.at k ~time:(K.now k + d) (fun () ->
+                      log := (K.now k, -1 - pid, step) :: !log;
+                      wake part));
+              log := (K.now k, pid, step) :: !log)
+            ops))
+    s.procs;
+  chans
+
+let serial_trace mode s =
+  let k = K.create () in
+  let log = ref [] in
+  ignore (build s ~kern:(fun _ -> k) ~log);
+  (match s.until with Some u -> ignore (run_mode ~until:u mode k) | None -> ());
+  let st = run_mode mode k in
+  (List.rev !log, st)
+
+let prop_ahead_serial =
+  QCheck.Test.make ~name:"run-ahead = per-event dispatch" ~count:300
+    (QCheck.make ~print:show_scenario gen_scenario)
+    (fun s ->
+      let log, st = serial_trace Fast s
+      and log', st' = serial_trace Per_event s in
+      log = log' && st = st')
+
+(* A host process runs a whole inner kernel between two waits of its
+   own: the inner loop's run-ahead must not leak into the outer one. *)
+let prop_ahead_nested =
+  QCheck.Test.make ~name:"run-ahead = per-event, kernel nested in a process"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (a, b) -> show_scenario a ^ " / inner " ^ show_scenario b)
+       (QCheck.Gen.pair gen_scenario gen_scenario))
+    (fun (outer, inner) ->
+      let go mode =
+        let k = K.create () in
+        let log = ref [] and inner_result = ref None in
+        ignore (build outer ~kern:(fun _ -> k) ~log);
+        K.spawn ~name:"host" k (fun () ->
+            K.wait 2;
+            inner_result := Some (serial_trace mode inner);
+            K.wait 3;
+            log := (K.now k, 99, 0) :: !log;
+            K.wait 0;
+            log := (K.now k, 99, 1) :: !log);
+        let st = run_mode mode k in
+        (List.rev !log, st, !inner_result)
+      in
+      go Fast = go Per_event)
+
+(* Two partitions: cross-partition channels need lookahead, so every
+   channel gets latency >= 1 and only its source partition sends and its
+   destination partition receives.  Partition rounds run with run-ahead;
+   the serial wheel dispatches per event. *)
+let prop_ahead_partitioned =
+  QCheck.Test.make ~name:"run-ahead in partition rounds = serial per-event"
+    ~count:200
+    (QCheck.make ~print:show_scenario gen_scenario)
+    (fun s ->
+      let s =
+        let ends =
+          Array.of_list (List.map (fun (_, _, src, dst) -> (src, dst)) s.chans)
+        in
+        let local part = function
+          | Send (c, _) -> fst ends.(c) = part
+          | Recv c -> snd ends.(c) = part
+          | _ -> true
+        in
+        {
+          s with
+          chans =
+            List.map (fun (d, l, src, dst) -> (d, max 1 l, src, dst)) s.chans;
+          procs =
+            List.map
+              (fun (part, ops) -> (part, List.filter (local part) ops))
+              s.procs;
+        }
+      in
+      let plan = Partition.create ~partitions:2 in
+      let log = ref [] in
+      let chans = build s ~kern:(Partition.kernel plan) ~log in
+      List.iter2
+        (fun c (_, _, src, dst) ->
+          if src <> dst then Partition.route_channel plan ~src ~dst c)
+        chans s.chans;
+      (match s.until with
+      | Some u ->
+          ignore (Partition.run_serial ~until:u ~expect_quiescent:true plan)
+      | None -> ());
+      let st = Partition.run_serial ~expect_quiescent:true plan in
+      let log', st' = serial_trace Per_event s in
+      List.sort compare !log = List.sort compare log' && st = st')
+
 let () =
   Alcotest.run "codesign_sim"
     [
@@ -768,5 +1121,19 @@ let () =
           Alcotest.test_case "many-to-one fifo" `Quick
             test_chan_many_to_one_fifo;
           QCheck_alcotest.to_alcotest prop_chan_transfers_preserve_order;
+        ] );
+      ( "run-ahead",
+        [
+          Alcotest.test_case "at callback is not a process" `Quick
+            test_ahead_at_callback_not_in_process;
+          Alcotest.test_case "stop polled before every event" `Quick
+            test_ahead_stop_polled_per_event;
+          Alcotest.test_case "escaped exception leaves the domain clean"
+            `Quick test_ahead_exception_leaves_domain_clean;
+          Alcotest.test_case "lone process stops at until" `Quick
+            test_ahead_until_bound;
+          QCheck_alcotest.to_alcotest prop_ahead_serial;
+          QCheck_alcotest.to_alcotest prop_ahead_nested;
+          QCheck_alcotest.to_alcotest prop_ahead_partitioned;
         ] );
     ]

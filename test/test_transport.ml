@@ -418,7 +418,14 @@ let test_process_network_lookup_errors () =
   expect_invalid_arg "find_proc" [ "ghost"; "writer"; "reader" ] (fun () ->
       Pn.find_proc net "ghost");
   expect_invalid_arg "find_channel" [ "nope"; "c" ] (fun () ->
-      Pn.find_channel net "nope")
+      Pn.find_channel net "nope");
+  (* a software port in the channel range that no channel owns *)
+  let stray =
+    { (proc "stray" [] []) with B.body = [ B.PortOut (150, B.Int 1) ] }
+  in
+  expect_invalid_arg "run_network" [ "port 150"; "names no channel" ]
+    (fun () ->
+      Cosim.run_network (Pn.make ~name:"stray" [ (stray, Pn.Sw) ] []))
 
 let () =
   Alcotest.run "codesign_transport"
